@@ -309,9 +309,50 @@ class CrfModel:
             )
         return logits
 
-    def mean_field_probabilities(self, probabilities: np.ndarray) -> np.ndarray:
-        """One damped mean-field update of the marginals."""
-        return sigmoid(self.marginal_logits(probabilities))
+    def mean_field(
+        self,
+        state,
+        scope: Optional[np.ndarray] = None,
+        *,
+        steps: int,
+        damping: float,
+    ) -> np.ndarray:
+        """Damped mean-field fixed point: the light inference of the system.
+
+        Starts from ``m = state.probabilities`` and repeats
+        ``m ← damping·m + (1 − damping)·σ(logit)``, with ``logit`` the
+        :meth:`marginal_logits` at ``m``, on the free claims — those of
+        ``scope`` (default: every claim) that are not in ``state.labels``;
+        all other marginals stay fixed.
+
+        Args:
+            state: Where the start marginals and labels are read: a
+                :class:`~repro.data.database.FactDatabase`, or a
+                :class:`~repro.guidance.gain.StateSnapshot` /
+                :class:`~repro.guidance.gain.HypotheticalView` when the
+                labels are hypothetical or the database must stay
+                untouched.
+            scope: Claims allowed to move.
+            steps: Fixed-point iterations.
+            damping: Weight of the previous marginals in each update.
+
+        Returns:
+            A fresh marginal vector over all claims.
+        """
+        marginals = np.asarray(state.probabilities, dtype=float).copy()
+        if scope is None:
+            free = state.unlabelled_indices
+        else:
+            labelled = state.labels
+            free = np.asarray(
+                [int(c) for c in scope if int(c) not in labelled], dtype=np.intp
+            )
+        if free.size == 0:
+            return marginals
+        for _ in range(steps):
+            updated = sigmoid(self.marginal_logits(marginals)[free])
+            marginals[free] = damping * marginals[free] + (1.0 - damping) * updated
+        return marginals
 
     # ------------------------------------------------------------------
     # Joint (for exact entropy on small components)

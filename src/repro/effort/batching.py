@@ -32,6 +32,7 @@ from repro.data.database import FactDatabase
 from repro.errors import GuidanceError
 from repro.guidance.gain import (
     GainEstimator,
+    HypotheticalView,
     StateSnapshot,
     marginal_entropy_ranking,
 )
@@ -248,7 +249,12 @@ def exact_batch_gain(
         if weight == 0.0:
             continue
         pins = dict(zip(claims, values))
-        marginals = gains._mean_field(scope_array, pins=pins, state=snapshot)
+        marginals = gains.model.mean_field(
+            HypotheticalView(snapshot, pins),
+            scope_array,
+            steps=gains.config.meanfield_steps,
+            damping=gains.config.damping,
+        )
         entropy = float(binary_entropy(marginals[scope_array]).sum())
         conditional += weight * entropy
     return current_entropy - conditional

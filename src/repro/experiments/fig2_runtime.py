@@ -6,7 +6,9 @@ Three implementation variants of claim selection + inference are compared:
   with exact (enumeration-based) entropy where feasible;
 * ``scalable`` — the linear-time entropy approximation of §4.1 (Eq. 13);
 * ``parallel+partition`` — additionally the optimisations of §5.1:
-  component-restricted inference and parallel candidate evaluation.
+  component-restricted, mean-field hypothetical inference.  The variant
+  sets ``parallel=True``, but mean-field gains run on the calling thread
+  (threads only slowed the GIL-bound fixed point down).
 
 Expected shape (paper): response time grows with dataset size and drops
 sharply across the variants, with ``parallel+partition`` staying below

@@ -26,17 +26,18 @@ class GainConfig:
         damping: Mean-field damping factor in [0, 1); higher is smoother.
         gibbs_burn_in / gibbs_samples: Schedule of the throwaway chain in
             Gibbs mode.
-        parallel: Evaluate candidate gains on the snapshot-isolated
-            executor: every candidate reads a read-only
-            :class:`~repro.guidance.gain.HypotheticalView` of the
-            database state and draws from its own derived generator, so
-            candidates run concurrently in *both* inference modes with
-            results bit-for-bit identical to sequential evaluation at
-            every worker count.  In Gibbs mode the executor also routes
-            the throwaway chains through worker-local engines backed by
-            the compiled merge kernel of the sharded backend, which is
-            why ``parallel=True`` pays off even on a single core.
-        max_workers: Worker-thread count when ``parallel`` is set.
+        parallel: Evaluate Gibbs-mode candidate gains on ``max_workers``
+            threads, each throwaway chain on a worker-local engine
+            backed by the compiled merge kernel of the sharded backend
+            (its sweeps release the GIL).  Mean-field gains always run on
+            the calling thread: the numpy fixed point holds the GIL, so
+            threads would only slow it down.  Every candidate reads a
+            read-only :class:`~repro.guidance.gain.HypotheticalView` of
+            the captured database state either way, so results are
+            bit-for-bit identical to sequential evaluation at every
+            worker count.
+        max_workers: Worker-thread count of Gibbs-mode gains when
+            ``parallel`` is set.
         cache_gains: Keep evaluated gains across calls and re-evaluate a
             candidate only when its connected component was dirtied by a
             label (or the model weights changed) since the cached value

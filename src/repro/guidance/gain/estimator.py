@@ -16,14 +16,15 @@ entropy ``H_C`` (information-driven guidance) and the source-trust entropy
   affect claims in ``c``'s connected component, so inference and entropy
   differences are restricted to it.
 * **Parallelisation** (§5.1) — gains of different candidates are
-  independent.  ``GainConfig(parallel=True)`` evaluates them on the
-  snapshot-isolated executor: every candidate reads a read-only
-  :class:`~repro.guidance.gain.HypotheticalView` of the captured database
-  state and draws from its own derived stream, so candidates run
-  concurrently in *both* inference modes with results bit-for-bit
-  identical to sequential evaluation.  ``parallel=False`` keeps the
-  mutate-and-restore evaluation against the live database and doubles as
-  the semantic oracle the parallel path is tested against.
+  independent.  Every call captures one read-only
+  :class:`~repro.guidance.gain.StateSnapshot`; the baseline reads it and
+  each hypothesis reads a :class:`~repro.guidance.gain.HypotheticalView`
+  pinning its label, so the database is never mutated and candidates can
+  run in any order.  ``GainConfig(parallel=True)`` puts Gibbs-mode
+  candidates on worker threads over leased kernel-backed engines, whose
+  sweeps release the GIL; mean-field candidates always run on the calling
+  thread, because the numpy fixed point holds the GIL and threads only
+  slow it down.  Results are bit-for-bit identical either way.
 * **Gain caching** (§5.1) — with ``localize=True`` a candidate's gain can
   only change when a label lands in its connected component (or the
   weights move), so ``cache_gains=True`` reuses evaluated gains across
@@ -41,8 +42,7 @@ cannot change any result.
 
 from __future__ import annotations
 
-import threading
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from repro.crf.entropy import (
 from repro.crf.gibbs import GibbsSampler
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
-from repro.crf.potentials import sigmoid
 from repro.data.database import FactDatabase
 from repro.guidance.gain.cache import ComponentGainCache
 from repro.guidance.gain.config import GainConfig
@@ -75,8 +74,8 @@ class _CallContext:
 
     Carries the root entropy of the call's Gibbs stream tree, the guarded
     per-component baseline cache (passed explicitly — no estimator
-    attribute to race on), and, on the parallel path, the snapshot every
-    candidate's views overlay.
+    attribute to race on), and the snapshot every candidate's views
+    overlay.
     """
 
     #: Call-scoped scratch structure, never checkpointed.
@@ -86,7 +85,7 @@ class _CallContext:
         self,
         entropy: Optional[int],
         baselines: BaselineCache,
-        snapshot: Optional[StateSnapshot],
+        snapshot: StateSnapshot,
     ) -> None:
         self.entropy = entropy
         self.baselines = baselines
@@ -100,11 +99,12 @@ class GainEstimator:
         model: The CRF model (weights are read, never modified).
         components: Component index for localisation.
         config: Evaluation configuration.
-        engine: Hot-path engine for sequential Gibbs-mode hypothetical
-            inference; pass the owning inference engine so gain
+        engine: Hot-path engine for Gibbs-mode hypothetical inference on
+            the calling thread; pass the owning inference engine so gain
             evaluation runs the same backend as the E-step (defaults to
-            the model's default backend).  The parallel path ignores it
-            and leases worker-local kernel-backed engines instead.
+            the model's default backend).  With ``parallel`` set it is
+            ignored and worker-local kernel-backed engines are leased
+            instead.
         seed: Seed or generator (only Gibbs mode consumes randomness).
     """
 
@@ -117,7 +117,6 @@ class GainEstimator:
         "_config",
         "_components",
         "_engine",
-        "_state_lock",
         "_engine_pool",
         "_gain_cache",
     )
@@ -138,15 +137,15 @@ class GainEstimator:
         )
         self._engine = engine
         self._rng = ensure_rng(seed)
-        # Sequential Gibbs-mode hypothetical inference pins its label in
-        # the shared database; the lock serialises that mutate-and-restore
-        # window against concurrent readers.  The parallel path never
-        # takes it — views leave the database untouched.
-        self._state_lock = threading.Lock()
         self._engine_pool = EnginePool(model)
         self._gain_cache = (
             ComponentGainCache() if self._config.cache_gains else None
         )
+
+    @property
+    def model(self) -> CrfModel:
+        """The CRF model whose light inference the gains run."""
+        return self._model
 
     @property
     def config(self) -> GainConfig:
@@ -191,22 +190,15 @@ class GainEstimator:
         self, claim_indices: Sequence[int], source_driven: bool
     ) -> np.ndarray:
         claim_indices = [int(c) for c in claim_indices]
+        gibbs = self._config.inference_mode == "gibbs"
         # One root entropy draw per call keys the whole Gibbs stream tree;
         # every chain seed is a pure function of (root, candidate, value),
-        # so sequential and parallel evaluation consume the session
-        # generator identically and produce identical gains.  Mean-field
-        # mode is deterministic and consumes nothing.
-        entropy = (
-            draw_entropy(self._rng)
-            if self._config.inference_mode == "gibbs"
-            else None
+        # so the evaluation order and the worker schedule cannot change a
+        # gain.  Mean-field mode is deterministic and consumes nothing.
+        entropy = draw_entropy(self._rng) if gibbs else None
+        context = _CallContext(
+            entropy, BaselineCache(), StateSnapshot.capture(self._database)
         )
-        snapshot = (
-            StateSnapshot.capture(self._database)
-            if self._config.parallel
-            else None
-        )
-        context = _CallContext(entropy, BaselineCache(), snapshot)
 
         cache = self._gain_cache
         if cache is not None:
@@ -227,13 +219,10 @@ class GainEstimator:
                 cache.store(claim, source_driven, component, value)
             return value
 
-        if self._config.parallel:
-            values = map_ordered(
-                evaluate, claim_indices, self._config.max_workers
-            )
-        else:
-            values = [evaluate(c) for c in claim_indices]
-        return np.asarray(values)
+        # Threads pay only for Gibbs chains, whose kernel-backed sweeps
+        # release the GIL; the numpy fixed point holds it throughout.
+        workers = self._config.max_workers if self._config.parallel and gibbs else 1
+        return np.asarray(map_ordered(evaluate, claim_indices, workers))
 
     # ------------------------------------------------------------------
     # Core computation
@@ -254,182 +243,87 @@ class GainEstimator:
     def _gain(
         self, claim_index: int, source_driven: bool, context: _CallContext
     ) -> float:
-        database = self._database
-        if database.is_labelled(claim_index):
+        snapshot = context.snapshot
+        if claim_index in snapshot.labels:
             return 0.0
         scope = self._scope(claim_index)
         # The baseline H(Q) must be measured after the *same* light
         # inference operator as H(Q+)/H(Q-), only without the hypothetical
         # label — otherwise the inference's smoothing of the marginals
         # masquerades as (negative) information gain for every candidate.
-        base = self._baseline_marginals(claim_index, scope, context)
+        key = self._component_key(claim_index)
+        # Offset the key into non-negative spawn-key space: the
+        # non-localised global key −1 maps to stream 0.
+        base = context.baselines.get_or_compute(
+            key,
+            lambda: self._light_inference(
+                scope, snapshot, context, (_STREAM_BASELINE, key + 1)
+            ),
+        )
         p = float(base[claim_index])
 
-        positive = self._hypothetical_marginals(claim_index, 1, scope, context)
-        negative = self._hypothetical_marginals(claim_index, 0, scope, context)
+        def hypothesis(value: int) -> np.ndarray:
+            return self._light_inference(
+                scope,
+                HypotheticalView(snapshot, {claim_index: value}),
+                context,
+                (_STREAM_HYPOTHESIS, claim_index, value),
+            )
 
-        if source_driven:
-            current = self._source_entropy(base, scope, context)
-            plus = self._source_entropy(positive, scope, context)
-            minus = self._source_entropy(negative, scope, context)
-        else:
-            current = self._claim_entropy(base, scope, context)
-            plus = self._claim_entropy(positive, scope, context)
-            minus = self._claim_entropy(negative, scope, context)
+        positive = hypothesis(1)
+        negative = hypothesis(0)
+
+        entropy = self._source_entropy if source_driven else self._claim_entropy
+        current = entropy(base, scope, snapshot)
+        plus = entropy(positive, scope, snapshot)
+        minus = entropy(negative, scope, snapshot)
         conditional = p * plus + (1.0 - p) * minus
         return float(current - conditional)
 
-    def _baseline_marginals(
-        self, claim_index: int, scope: np.ndarray, context: _CallContext
-    ) -> np.ndarray:
-        """Label-free light inference over the candidate's scope.
-
-        Computed at most once per component per batched-gains call (the
-        result is identical for all candidates of a component); the
-        guarded cache blocks every other worker of the component while
-        the first one runs the inference.
-        """
-        key = self._component_key(claim_index)
-
-        def compute() -> np.ndarray:
-            if self._config.inference_mode == "meanfield":
-                return self._mean_field(
-                    scope, pins=None, state=context.snapshot
-                )
-            # Offset the key into non-negative spawn-key space: the
-            # non-localised global key −1 maps to stream 0.
-            seed = stream_rng(context.entropy, _STREAM_BASELINE, key + 1)
-            if context.snapshot is not None:
-                view = HypotheticalView(context.snapshot)
-                return self._gibbs_view(scope, view, seed)
-            with self._state_lock:
-                return self._gibbs(scope, seed)
-
-        return context.baselines.get_or_compute(key, compute)
-
-    def _hypothetical_marginals(
+    def _light_inference(
         self,
-        claim_index: int,
-        value: int,
         scope: np.ndarray,
+        state: Union[StateSnapshot, HypotheticalView],
         context: _CallContext,
+        stream_key: Tuple[int, ...],
     ) -> np.ndarray:
-        """Marginals of ``Q+`` / ``Q-`` under light inference."""
-        if self._config.inference_mode == "meanfield":
-            # The hypothetical label is pinned inside the fixed point, so
-            # the shared database is never mutated — safe to parallelise.
-            return self._mean_field(
-                scope, pins={claim_index: value}, state=context.snapshot
-            )
-        seed = stream_rng(
-            context.entropy, _STREAM_HYPOTHESIS, claim_index, value
-        )
-        if context.snapshot is not None:
-            view = HypotheticalView(context.snapshot, {claim_index: value})
-            return self._gibbs_view(scope, view, seed)
-        with self._state_lock:
-            state = self._database.clone_state()
-            try:
-                self._database.label(claim_index, value)
-                marginals = self._gibbs(scope, seed)
-            finally:
-                self._database.restore_state(state)
-        return marginals
+        """Marginals of ``state`` after light inference over ``scope``.
 
-    def _mean_field(
-        self,
-        scope: np.ndarray,
-        pins: Optional[Mapping[int, int]] = None,
-        state: Optional[Union[StateSnapshot, HypotheticalView]] = None,
-    ) -> np.ndarray:
-        """Damped mean-field fixed point restricted to ``scope``.
-
-        Args:
-            scope: Claims whose marginals may move.
-            pins: Optional hypothetical ``{claim: value}`` labels, held
-                fixed during the iteration exactly as real labels would
-                be (several at once for the exact batch-gain enumeration
-                of §6.2).
-            state: Optional snapshot/view substituted for the live
-                database — numerically identical, but free of shared
-                mutable state.
+        ``state`` is the call's snapshot for the label-free baseline (run
+        at most once per component per call: the guarded baseline cache
+        blocks every other worker of the component meanwhile) and a view
+        pinning the hypothetical label for ``Q+`` / ``Q-``.  Gibbs chains
+        draw from the stream ``stream_key`` of the call's root entropy and
+        run on the owning engine, or on a leased worker-local engine when
+        ``parallel`` is set.
         """
-        if state is None:
-            database = self._database
-            # Snapshot under the lock: a sequential Gibbs-mode estimator
-            # sharing this instance may be inside a mutate-and-restore
-            # window on another thread.
-            with self._state_lock:
-                marginals = np.asarray(
-                    database.probabilities, dtype=float
-                ).copy()
-                labelled = database.labels
-        else:
-            marginals = np.asarray(state.probabilities, dtype=float).copy()
-            labelled = state.labels
-        if pins:
-            for pinned_claim, pinned_value in pins.items():
-                marginals[int(pinned_claim)] = float(pinned_value)
-            excluded = {int(c) for c in pins}
-            free = np.asarray(
-                [
-                    int(c)
-                    for c in scope
-                    if int(c) not in labelled and int(c) not in excluded
-                ],
-                dtype=np.intp,
+        config = self._config
+        if config.inference_mode == "meanfield":
+            return self._model.mean_field(
+                state, scope, steps=config.meanfield_steps, damping=config.damping
             )
-        else:
-            free = np.asarray(
-                [int(c) for c in scope if int(c) not in labelled],
-                dtype=np.intp,
-            )
-        if free.size == 0:
-            return marginals
-        damping = self._config.damping
-        for _ in range(self._config.meanfield_steps):
-            logits = self._model.marginal_logits(marginals)
-            updated = sigmoid(logits[free])
-            marginals[free] = damping * marginals[free] + (1.0 - damping) * updated
-        return marginals
+        seed = stream_rng(context.entropy, *stream_key)
+        if not config.parallel:
+            return self._gibbs(scope, state, seed, self._engine)
+        with self._engine_pool.lease() as engine:
+            return self._gibbs(scope, state, seed, engine)
 
     def _gibbs(
-        self, scope: np.ndarray, seed: np.random.Generator
+        self,
+        scope: np.ndarray,
+        state: Union[StateSnapshot, HypotheticalView],
+        seed: np.random.Generator,
+        engine,
     ) -> np.ndarray:
-        """Short throwaway Gibbs chain against the live database state."""
+        """Short throwaway Gibbs chain reading ``state``, not the database."""
         sampler = GibbsSampler(
             self._model,
             burn_in=self._config.gibbs_burn_in,
             num_samples=self._config.gibbs_samples,
             seed=seed,
-            engine=self._engine,
+            engine=engine,
         )
-        result = sampler.sample(claim_subset=scope)
-        return result.marginals
-
-    def _gibbs_view(
-        self,
-        scope: np.ndarray,
-        view: HypotheticalView,
-        seed: np.random.Generator,
-    ) -> np.ndarray:
-        """The same throwaway chain, reading a view instead of the database.
-
-        Runs on a leased worker-local engine backed by the compiled merge
-        kernel — bit-identical sweeps to the default backend, concurrent
-        because the kernel drops the GIL and nothing here writes shared
-        state.
-        """
-        with self._engine_pool.lease() as engine:
-            sampler = GibbsSampler(
-                self._model,
-                burn_in=self._config.gibbs_burn_in,
-                num_samples=self._config.gibbs_samples,
-                seed=seed,
-                engine=engine,
-            )
-            result = sampler.sample(claim_subset=scope, overlay=view)
-        return result.marginals
+        return sampler.sample(claim_subset=scope, overlay=state).marginals
 
     # ------------------------------------------------------------------
     # Entropy restricted to a scope
@@ -441,22 +335,12 @@ class GainEstimator:
     #: times per iteration), not once per database.
     _EXACT_ENTROPY_CAP = 12
 
-    def _labels_of(
-        self, context: _CallContext
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Real labels (no pins) as sorted ``(indices, values)`` arrays."""
-        if context.snapshot is not None:
-            return context.snapshot.label_arrays()
-        with self._state_lock:
-            return self._database.label_arrays()
-
     def _claim_entropy(
-        self, marginals: np.ndarray, scope: np.ndarray, context: _CallContext
+        self, marginals: np.ndarray, scope: np.ndarray, snapshot: StateSnapshot
     ) -> float:
         """H_C over the scope (entropy outside cancels in differences)."""
         if self._config.entropy_method == "exact":
-            label_indices, _ = self._labels_of(context)
-            labelled = set(int(i) for i in label_indices)
+            labelled = snapshot.labels
             free = np.asarray(
                 [int(c) for c in scope if int(c) not in labelled], dtype=np.intp
             )
@@ -470,7 +354,7 @@ class GainEstimator:
         return float(binary_entropy(marginals[scope]).sum())
 
     def _source_entropy(
-        self, marginals: np.ndarray, scope: np.ndarray, context: _CallContext
+        self, marginals: np.ndarray, scope: np.ndarray, snapshot: StateSnapshot
     ) -> float:
         """H_S over sources touching the scope (Eq. 18, Eq. 17).
 
@@ -481,7 +365,7 @@ class GainEstimator:
         one segmented mean.
         """
         grounding = (marginals >= 0.5).astype(np.int8)
-        label_indices, label_values = self._labels_of(context)
+        label_indices, label_values = snapshot.label_arrays()
         if label_indices.size:
             grounding[label_indices] = label_values.astype(np.int8)
         claim_ptr, claim_sources, source_ptr, source_claims = (

@@ -1,18 +1,21 @@
 """Read-only database snapshots and hypothetical-label overlay views.
 
 Hypothetical inference asks "what would the marginals be if claim ``c``
-were labelled ``v``?" — a question the legacy path answered by *mutating*
-the shared :class:`~repro.data.database.FactDatabase` (pin the label, run
-the chain, restore), which forces every candidate through one lock.
+were labelled ``v``?".  Answering it by *mutating* the shared
+:class:`~repro.data.database.FactDatabase` (pin the label, run the chain,
+restore) would force every candidate through one lock; that evaluation
+survives only as the test oracle.
 
 :class:`StateSnapshot` captures the mutable database state (probabilities
 and labels) once per batched-gains call; :class:`HypotheticalView` overlays
 pinned labels on that snapshot without touching the parent.  A view mimics
 the exact read surface the Gibbs sampler and the mean-field fixed point
-use — ``probabilities``, ``label_arrays()``, ``labelled_indices`` — and
-reproduces, value for value, what :meth:`FactDatabase.label` followed by
-those reads would have produced, so overlay-based evaluation is
-bit-for-bit interchangeable with mutate-and-restore.  The structural
+(:meth:`~repro.crf.model.CrfModel.mean_field`) use — ``probabilities``,
+``labels``, ``label_arrays()``, ``labelled_indices``,
+``unlabelled_indices`` — and reproduces, value for value, what
+:meth:`FactDatabase.label` followed by those reads would have produced, so
+overlay-based evaluation is bit-for-bit interchangeable with
+mutate-and-restore.  The structural
 arrays (CSR pair tables, clique matrices) are never copied: they live on
 the model/database and are shared read-only across all views and threads.
 """

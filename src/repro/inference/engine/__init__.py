@@ -41,9 +41,6 @@ from repro.inference.engine.speculative import (
     sigmoid_scalar,
 )
 
-#: Backwards-compatible alias of :func:`sigmoid_scalar` (pre-split name).
-_sigmoid_scalar = sigmoid_scalar
-
 __all__ = [
     "ENGINE_BACKENDS",
     "EngineConfig",

@@ -287,28 +287,19 @@ class ICrf:
         configuration degenerates to thresholded marginals (the naive
         instantiation of §2.3).
         """
-        from repro.crf.potentials import sigmoid
+        from repro.guidance.gain.snapshot import StateSnapshot
 
         database = self._database
-        marginals = np.asarray(database.probabilities, dtype=float).copy()
+        start = np.asarray(database.probabilities, dtype=float).copy()
         label_indices, label_values = database.label_arrays()
         if label_indices.size:
-            marginals[label_indices] = label_values
-        if claim_subset is None:
-            free = database.unlabelled_indices
-        else:
-            labelled = database.labels
-            free = np.asarray(
-                [int(c) for c in claim_subset if int(c) not in labelled],
-                dtype=np.intp,
-            )
-        if free.size:
-            for _ in range(steps):
-                logits = self._model.marginal_logits(marginals)
-                updated = sigmoid(logits[free])
-                marginals[free] = (
-                    damping * marginals[free] + (1.0 - damping) * updated
-                )
+            start[label_indices] = label_values
+        marginals = self._model.mean_field(
+            StateSnapshot(start, label_indices, label_values, database.labels),
+            claim_subset,
+            steps=steps,
+            damping=damping,
+        )
         configuration = (marginals >= 0.5).astype(np.int8)
         if label_indices.size:
             configuration[label_indices] = label_values.astype(np.int8)

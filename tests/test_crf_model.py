@@ -240,5 +240,17 @@ class TestCrfModel:
 
     def test_mean_field_probabilities_bounded(self):
         model, db = micro_model()
-        probs = model.mean_field_probabilities(np.full(3, 0.5))
-        assert np.all((probs >= 0) & (probs <= 1))
+        db.set_probabilities(np.full(3, 0.5))
+        for damping in (0.0, 0.3):
+            probs = model.mean_field(db, steps=4, damping=damping)
+            assert np.all((probs >= 0) & (probs <= 1))
+
+    def test_mean_field_moves_only_free_scope_claims(self):
+        model, db = micro_model()
+        db.label(0, 1)
+        start = np.asarray(db.probabilities).copy()
+        probs = model.mean_field(db, np.asarray([0, 1]), steps=3, damping=0.2)
+        assert probs[0] == 1.0 and probs[2] == start[2]
+        assert probs[1] != start[1]
+        # The database itself is only read.
+        assert np.array_equal(db.probabilities, start)

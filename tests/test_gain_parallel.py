@@ -1,12 +1,18 @@
 """Snapshot-isolated parallel gain evaluation (§5.1).
 
-Two contracts are pinned down here:
+Four contracts are pinned down here:
 
 * **Bit-for-bit equality** — ``GainConfig(parallel=True)`` must return
   exactly the same gains as sequential evaluation, in both inference
   modes, at every worker count.  Gibbs-mode candidate streams are pure
   functions of ``(root entropy, candidate, value)``, so neither the
   evaluation order nor the worker schedule may leak into a result.
+* **Views ≡ mutate-and-restore** — snapshot/view evaluation returns
+  exactly what labelling the live database and restoring it afterwards
+  returns (the oracle in ``tests/oracles/gain.py``).
+* **Dispatch** — ``parallel=True`` puts only Gibbs-mode candidates on
+  worker threads over leased pool engines; mean-field candidates stay on
+  the calling thread.
 * **Cache dirtiness** — with ``cache_gains=True`` a cached gain is
   invalidated exactly when a label lands in the candidate's connected
   component, or when the model weights move; everything else keeps
@@ -15,18 +21,25 @@ Two contracts are pinned down here:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api.specs import InferenceSpec
 from repro.crf.model import CrfModel
 from repro.crf.partition import ComponentIndex
 from repro.crf.weights import CrfWeights
 from repro.data.database import FactDatabase
 from repro.data.entities import Claim, ClaimLink, Document, Source
 from repro.data.stance import Stance
+from repro.datasets import load_dataset
 from repro.guidance.gain import GainConfig, GainEstimator
+from repro.guidance.gain.executor import EnginePool
+from repro.inference.icrf import ICrf
 
 from tests.fixtures import build_micro_database
+from tests.oracles.gain import MutateRestoreGainEstimator
 
 
 def build_two_component_database() -> FactDatabase:
@@ -72,6 +85,16 @@ def make_estimator(database=None, seed=1, **config_kwargs):
         model, ComponentIndex(database), config=config, seed=seed
     )
     return estimator, database
+
+
+def trained_wiki_model() -> CrfModel:
+    """A wiki model with fitted weights and a few labels (real coupling)."""
+    database = load_dataset("wiki", seed=42, scale=0.2)
+    icrf = ICrf.from_spec(database, InferenceSpec(em_iterations=2), seed=9)
+    icrf.infer()
+    for claim, value in ((1, 1), (4, 0)):
+        database.label(claim, value)
+    return icrf.model
 
 
 class TestParallelBitExact:
@@ -159,6 +182,99 @@ class TestParallelBitExact:
             sequential.information_gains(candidates),
             parallel.information_gains(candidates),
         )
+
+
+class TestMutateRestoreOracle:
+    @pytest.mark.parametrize("mode", ["meanfield", "gibbs"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_views_equal_mutate_and_restore(self, mode, workers):
+        model = trained_wiki_model()
+        database = model.database
+        assert model.weights.coupling != 0.0
+        candidates = list(range(0, database.num_claims, 2))
+        for entropy_method in ("approx", "exact"):
+            for source_driven in (False, True):
+                estimators = [
+                    cls(
+                        model, ComponentIndex(database),
+                        config=GainConfig(
+                            inference_mode=mode,
+                            entropy_method=entropy_method,
+                            **config,
+                        ),
+                        seed=3,
+                    )
+                    for cls, config in (
+                        (MutateRestoreGainEstimator, {}),
+                        (GainEstimator, {}),
+                        (GainEstimator,
+                         {"parallel": True, "max_workers": workers}),
+                    )
+                ]
+                results = [
+                    (e.source_gains if source_driven else e.information_gains)(
+                        candidates
+                    )
+                    for e in estimators
+                ]
+                for estimator in estimators:
+                    estimator.close()
+                oracle = results[0]
+                assert np.isfinite(oracle).all()
+                for produced in results[1:]:
+                    assert np.array_equal(oracle, produced)
+
+
+class TestDispatch:
+    @staticmethod
+    def record(monkeypatch):
+        """Record the evaluating thread of every candidate and every lease."""
+        threads, leases = [], []
+        original_gain = GainEstimator._gain
+        original_lease = EnginePool.lease
+
+        def gain(self, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return original_gain(self, *args, **kwargs)
+
+        def lease(self):
+            leases.append(threading.get_ident())
+            return original_lease(self)
+
+        monkeypatch.setattr(GainEstimator, "_gain", gain)
+        monkeypatch.setattr(EnginePool, "lease", lease)
+        return threads, leases
+
+    def test_parallel_meanfield_runs_on_calling_thread(self, monkeypatch):
+        threads, leases = self.record(monkeypatch)
+        estimator, db = make_estimator(
+            inference_mode="meanfield", parallel=True, max_workers=4
+        )
+        estimator.information_gains(list(range(db.num_claims)))
+        estimator.source_gains(list(range(db.num_claims)))
+        assert len(threads) == 2 * db.num_claims
+        assert set(threads) == {threading.get_ident()}
+        assert leases == []
+
+    def test_parallel_gibbs_leases_pool_engines_off_thread(self, monkeypatch):
+        threads, leases = self.record(monkeypatch)
+        estimator, db = make_estimator(
+            inference_mode="gibbs", parallel=True, max_workers=2
+        )
+        estimator.information_gains(list(range(db.num_claims)))
+        estimator.close()
+        assert len(threads) == db.num_claims
+        assert threading.get_ident() not in threads
+        # One baseline per component plus two hypotheses per candidate.
+        assert len(leases) >= 2 * db.num_claims
+        assert threading.get_ident() not in leases
+
+    def test_sequential_gibbs_uses_owning_engine(self, monkeypatch):
+        threads, leases = self.record(monkeypatch)
+        estimator, db = make_estimator(inference_mode="gibbs")
+        estimator.information_gains(list(range(db.num_claims)))
+        assert set(threads) == {threading.get_ident()}
+        assert leases == []
 
 
 class TestComponentGainCache:
